@@ -6,7 +6,9 @@
 //! (up to `max_batch_rows` rows) into one stacked `Matrix` per
 //! `(model, op)` group, runs **one** pooled forward pass on the shared
 //! [`WorkerPool`], and scatters the row ranges back through each job's
-//! callback (which posts a completion to the reactor and wakes it).
+//! callback (which posts a completion to the reactor and wakes it). A
+//! lone job's matrix goes into the pass as is, and its output comes back
+//! whole: neither is copied.
 //! Because every stage of every artifact is row-independent, the stacked
 //! pass is bit-identical to running each request alone — batching is
 //! purely a throughput optimization.
@@ -15,6 +17,7 @@ use crate::metrics::Metrics;
 use crate::registry::LoadedModel;
 use crate::supervisor::{recover_lock, supervise, ThreadKind};
 use ifair::core::par::WorkerPool;
+use ifair::core::{CertifyError, FitError};
 use ifair::linalg::Matrix;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,11 +43,12 @@ pub(crate) enum Op {
     },
 }
 
-/// What a completed job hands back to its connection handler.
+/// What a completed job hands back to its connection handler — and,
+/// before the scatter, what a whole batch computed.
 #[derive(Debug)]
 pub(crate) enum JobOutput {
     /// Transformed rows, one per input row.
-    Rows(Vec<Vec<f64>>),
+    Rows(Matrix),
     /// `(predict_proba, predict)` of the terminal predictor.
     Scored {
         /// Continuous scores, one per input row.
@@ -59,8 +63,14 @@ pub(crate) enum JobOutput {
 /// Why a job came back without an output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum JobError {
-    /// The batch computation failed (validation slip, trapped panic).
+    /// The batch computation failed (validation slip, trapped panic): a
+    /// server fault, answered with a 500.
     Failed(String),
+    /// The job's own input is unusable (e.g. a certification box that
+    /// overflows to non-finite bounds): a client fault, answered with a
+    /// 400. A batch that fails this way is re-run job by job, so only the
+    /// offending requests see it.
+    BadInput(String),
     /// The job's deadline budget was exhausted before compute started; the
     /// handler maps this to a 503 with `Retry-After`.
     DeadlineExceeded,
@@ -72,8 +82,8 @@ pub(crate) struct Job {
     /// registry cannot invalidate a job already in flight.
     pub model: Arc<LoadedModel>,
     pub op: Op,
-    /// Validated, rectangular, non-empty rows.
-    pub rows: Vec<Vec<f64>>,
+    /// Validated, non-empty rows.
+    pub rows: Matrix,
     /// Per-row group membership (empty = all zeros).
     pub group: Vec<u8>,
     /// Absolute compute deadline (from `X-Ifair-Deadline-Ms`), if any. A
@@ -120,14 +130,14 @@ fn batcher_loop(rx: &Mutex<Receiver<Job>>, pool: &WorkerPool, max_batch_rows: us
         // Fault site: a scheduled panic here escapes the per-batch trap and
         // kills the batcher thread — exercising the supervisor respawn.
         ifair::api::faults::check_panic("serve.batcher");
-        let mut total = first.rows.len();
+        let mut total = first.rows.rows();
         let mut jobs = vec![first];
         // Opportunistic coalescing: take whatever is already queued, up to
         // the row cap — no artificial latency is added waiting for peers.
         while total < max_batch_rows {
             match rx.try_recv() {
                 Ok(job) => {
-                    total += job.rows.len();
+                    total += job.rows.rows();
                     jobs.push(job);
                 }
                 Err(_) => break,
@@ -155,13 +165,15 @@ fn batcher_loop(rx: &Mutex<Receiver<Job>>, pool: &WorkerPool, max_batch_rows: us
     }
 }
 
-/// Groups jobs by `(model snapshot, op)`, preserving arrival order — only
-/// requests against the same loaded artifact and endpoint can share a
-/// forward pass.
+/// Groups jobs by `(model snapshot, op, row width)`, preserving arrival
+/// order — only requests against the same loaded artifact and endpoint can
+/// share a forward pass, and only rows of one width stack into a matrix
+/// (widths differ only for an artifact that fixes none).
 fn group_jobs(jobs: Vec<Job>) -> Vec<Vec<Job>> {
-    let mut groups: Vec<((*const LoadedModel, Op), Vec<Job>)> = Vec::new();
+    type Key = (*const LoadedModel, Op, usize);
+    let mut groups: Vec<(Key, Vec<Job>)> = Vec::new();
     for job in jobs {
-        let key = (Arc::as_ptr(&job.model), job.op);
+        let key = (Arc::as_ptr(&job.model), job.op, job.rows.cols());
         match groups.iter_mut().find(|(k, _)| *k == key) {
             Some((_, g)) => g.push(job),
             None => groups.push((key, vec![job])),
@@ -174,19 +186,31 @@ fn group_jobs(jobs: Vec<Job>) -> Vec<Vec<Job>> {
 fn execute_group(pool: &WorkerPool, mut jobs: Vec<Job>) {
     let model = Arc::clone(&jobs[0].model);
     let op = jobs[0].op;
-    let sizes: Vec<usize> = jobs.iter().map(|j| j.rows.len()).collect();
-    let mut stacked = Vec::with_capacity(sizes.iter().sum());
-    let mut group = Vec::with_capacity(stacked.capacity());
-    for (job, &size) in jobs.iter_mut().zip(&sizes) {
-        // Move, don't clone: the jobs own their rows and the scatter below
-        // only touches the reply channels.
-        stacked.append(&mut job.rows);
-        if job.group.is_empty() {
-            group.extend(std::iter::repeat_n(0u8, size));
-        } else {
-            group.append(&mut job.group);
+    let sizes: Vec<usize> = jobs.iter().map(|j| j.rows.rows()).collect();
+    let (matrix, group) = if let [job] = &mut jobs[..] {
+        let group = match std::mem::take(&mut job.group) {
+            g if g.is_empty() => vec![0u8; sizes[0]],
+            g => g,
+        };
+        (std::mem::replace(&mut job.rows, Matrix::zeros(0, 0)), group)
+    } else {
+        // Copy, don't move: a batch that fails on one job's input is re-run
+        // job by job from these buffers.
+        let total: usize = sizes.iter().sum();
+        let mut stacked = Vec::with_capacity(total * jobs[0].rows.cols());
+        let mut group = Vec::with_capacity(total);
+        for (job, &size) in jobs.iter().zip(&sizes) {
+            stacked.extend_from_slice(job.rows.as_slice());
+            if job.group.is_empty() {
+                group.extend(std::iter::repeat_n(0u8, size));
+            } else {
+                group.extend_from_slice(&job.group);
+            }
         }
-    }
+        let matrix = Matrix::from_vec(total, jobs[0].rows.cols(), stacked)
+            .expect("jobs of one group share a row width");
+        (matrix, group)
+    };
 
     // The handlers validated shape and capability, so failures here are
     // defensive; a panic must not kill the batcher (it would starve every
@@ -195,18 +219,18 @@ fn execute_group(pool: &WorkerPool, mut jobs: Vec<Job>) {
         // Fault site: a scheduled panic here stays inside the trap and
         // becomes a per-request 500 — the batcher survives.
         ifair::api::faults::check_panic("serve.batch.compute");
-        let matrix = Matrix::from_rows(stacked).map_err(|e| e.to_string())?;
+        let failed = |e: FitError| JobError::Failed(e.to_string());
         match op {
             Op::Transform => model
                 .artifact
                 .transform(matrix, group, Some(pool), model.precision)
-                .map(BatchOutput::Matrix)
-                .map_err(|e| e.to_string()),
+                .map(JobOutput::Rows)
+                .map_err(failed),
             Op::Predict => model
                 .artifact
                 .predict(matrix, group, Some(pool), model.precision)
-                .map(|(scores, decisions)| BatchOutput::Scored { scores, decisions })
-                .map_err(|e| e.to_string()),
+                .map(|(scores, decisions)| JobOutput::Scored { scores, decisions })
+                .map_err(failed),
             Op::Certify { eps_bits } => model
                 .artifact
                 .certify(
@@ -215,8 +239,13 @@ fn execute_group(pool: &WorkerPool, mut jobs: Vec<Job>) {
                     Some(pool),
                     model.precision,
                 )
-                .map(BatchOutput::Certified)
-                .map_err(|e| e.to_string()),
+                .map(JobOutput::Certified)
+                .map_err(|e| match e {
+                    CertifyError::Epsilon(_) | CertifyError::Model(FitError::Data(_)) => {
+                        JobError::BadInput(e.to_string())
+                    }
+                    e => JobError::Failed(e.to_string()),
+                }),
         }
     }))
     .unwrap_or_else(|payload| {
@@ -225,57 +254,69 @@ fn execute_group(pool: &WorkerPool, mut jobs: Vec<Job>) {
             .map(String::as_str)
             .or_else(|| payload.downcast_ref::<&str>().copied())
             .unwrap_or("unknown panic");
-        Err(format!("internal error during batch execution: {msg}"))
+        Err(JobError::Failed(format!(
+            "internal error during batch execution: {msg}"
+        )))
     });
 
     match result {
-        Ok(output) => scatter(jobs, &sizes, &output),
-        Err(msg) => {
+        Ok(output) => scatter(jobs, &sizes, output),
+        // Every stage is row-independent, so a job re-run alone computes
+        // the bits it would have had in the batch.
+        Err(JobError::BadInput(_)) if jobs.len() > 1 => {
+            for job in jobs {
+                execute_group(pool, vec![job]);
+            }
+        }
+        Err(err) => {
             for job in jobs {
                 // A requester that gave up (timed out, disconnected) has
                 // no one listening; skip the dead letter.
                 if job.cancelled.load(Ordering::SeqCst) {
                     continue;
                 }
-                (job.reply)(Err(JobError::Failed(msg.clone())));
+                (job.reply)(Err(err.clone()));
             }
         }
     }
 }
 
-/// The stacked result of one batch, before scattering.
-enum BatchOutput {
-    Matrix(Matrix),
-    Scored {
-        scores: Vec<f64>,
-        decisions: Vec<f64>,
-    },
-    Certified(Vec<ifair::Certificate>),
+impl JobOutput {
+    /// Rows `start..start + len` of a batch's output.
+    fn slice(&self, start: usize, len: usize) -> JobOutput {
+        let range = start..start + len;
+        match self {
+            JobOutput::Rows(m) => {
+                let cols = m.cols();
+                let data = m.as_slice()[start * cols..(start + len) * cols].to_vec();
+                JobOutput::Rows(Matrix::from_vec(len, cols, data).expect("slice of a matrix"))
+            }
+            JobOutput::Scored { scores, decisions } => JobOutput::Scored {
+                scores: scores[range.clone()].to_vec(),
+                decisions: decisions[range].to_vec(),
+            },
+            JobOutput::Certified(certs) => JobOutput::Certified(certs[range].to_vec()),
+        }
+    }
 }
 
-/// Splits the stacked output back into per-job row ranges, in job order.
-/// Jobs whose handler cancelled them mid-compute are skipped — their slice
-/// of the output has no one left to read it.
-fn scatter(jobs: Vec<Job>, sizes: &[usize], output: &BatchOutput) {
+/// Splits the stacked output back into per-job row ranges, in job order;
+/// a lone job takes the whole output. Jobs whose handler cancelled them
+/// mid-compute are skipped — their slice of the output has no one left
+/// to read it.
+fn scatter(jobs: Vec<Job>, sizes: &[usize], output: JobOutput) {
+    if let [_] = &jobs[..] {
+        let job = jobs.into_iter().next().expect("one job");
+        if !job.cancelled.load(Ordering::SeqCst) {
+            (job.reply)(Ok(output));
+        }
+        return;
+    }
     let mut offset = 0usize;
     for (job, &size) in jobs.into_iter().zip(sizes) {
-        if job.cancelled.load(Ordering::SeqCst) {
-            offset += size;
-            continue;
+        if !job.cancelled.load(Ordering::SeqCst) {
+            (job.reply)(Ok(output.slice(offset, size)));
         }
-        let out = match output {
-            BatchOutput::Matrix(m) => {
-                JobOutput::Rows((offset..offset + size).map(|i| m.row(i).to_vec()).collect())
-            }
-            BatchOutput::Scored { scores, decisions } => JobOutput::Scored {
-                scores: scores[offset..offset + size].to_vec(),
-                decisions: decisions[offset..offset + size].to_vec(),
-            },
-            BatchOutput::Certified(certs) => {
-                JobOutput::Certified(certs[offset..offset + size].to_vec())
-            }
-        };
-        (job.reply)(Ok(out));
         offset += size;
     }
 }
@@ -334,7 +375,7 @@ mod tests {
             Job {
                 model: Arc::clone(model),
                 op: Op::Transform,
-                rows,
+                rows: Matrix::from_rows(rows).unwrap(),
                 group: vec![],
                 deadline: None,
                 cancelled: Arc::new(AtomicBool::new(false)),
@@ -359,10 +400,7 @@ mod tests {
                 Artifact::Model(m) => m,
                 _ => unreachable!(),
             };
-            let out = m.transform(&Matrix::from_rows(rows).unwrap());
-            (0..out.rows())
-                .map(|i| out.row(i).to_vec())
-                .collect::<Vec<_>>()
+            m.transform(&Matrix::from_rows(rows).unwrap())
         };
         match rx_a.recv().unwrap().unwrap() {
             JobOutput::Rows(rows) => assert_eq!(rows, expect(rows_a)),
@@ -371,6 +409,31 @@ mod tests {
         match rx_b.recv().unwrap().unwrap() {
             JobOutput::Rows(rows) => assert_eq!(rows, expect(rows_b)),
             other => panic!("unexpected output {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_certify_input_fault_fails_only_its_own_job() {
+        let model = loaded_model(9);
+        let pool = WorkerPool::new(1);
+        let certify = |rows| {
+            let (mut job, rx) = job(&model, rows);
+            job.op = Op::Certify {
+                eps_bits: 0.01f64.to_bits(),
+            };
+            (job, rx)
+        };
+        // f64::MAX + ε rounds out to an infinite box bound.
+        let (guilty, rx_guilty) = certify(vec![vec![f64::MAX, 0.5, 1.0]]);
+        let (innocent, rx_innocent) = certify(vec![vec![0.2, 0.8, 1.0], vec![0.4, 0.6, 0.0]]);
+        execute_group(&pool, vec![guilty, innocent]);
+        match rx_guilty.recv().unwrap() {
+            Err(JobError::BadInput(msg)) => assert!(msg.contains("non-finite"), "{msg}"),
+            other => panic!("unexpected result {other:?}"),
+        }
+        match rx_innocent.recv().unwrap() {
+            Ok(JobOutput::Certified(certs)) => assert_eq!(certs.len(), 2),
+            other => panic!("unexpected result {other:?}"),
         }
     }
 
@@ -412,7 +475,7 @@ mod tests {
             vec![Job {
                 model,
                 op: Op::Predict,
-                rows: vec![vec![0.1, 0.2, 1.0]],
+                rows: Matrix::from_rows(vec![vec![0.1, 0.2, 1.0]]).unwrap(),
                 group: vec![],
                 deadline: None,
                 cancelled: Arc::new(AtomicBool::new(false)),

@@ -11,8 +11,8 @@
 //! Parsing is **zero-copy**: [`parse_request`] returns a [`RequestRef`]
 //! whose method, path, header, and body slices all borrow from the
 //! connection's read buffer. Nothing is allocated per request except
-//! the small header `Vec`; request bodies go to `serde` as a borrowed
-//! `&str` without an intermediate `String`.
+//! the small header `Vec`; request bodies go to the wire codec
+//! (`crate::codec`) as a borrowed `&str` without an intermediate `String`.
 
 use std::io::Write;
 

@@ -54,6 +54,7 @@
 pub mod artifact;
 mod batch;
 pub mod client;
+pub mod codec;
 pub mod error;
 pub mod http;
 pub mod metrics;

@@ -27,6 +27,7 @@
 //! connection is lost or cross-wired by a reactor restart.
 
 use crate::batch::{Job, JobError, JobOutput, Op};
+use crate::codec;
 use crate::http::{append_response, parse_request, HttpError, RequestRef};
 use crate::metrics::{Endpoint, Metrics};
 use crate::poll::{drain_waker, fd_of, PollEvent, Poller, Waker, INTEREST_READ, INTEREST_WRITE};
@@ -35,7 +36,7 @@ use crate::server::{
     ServerConfig, DEADLINE_HEADER, READ_TIMEOUT, REPLY_TIMEOUT, RETRY_AFTER_SECS, WRITE_TIMEOUT,
 };
 use crate::supervisor::{recover_lock, supervise, ThreadKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -797,10 +798,11 @@ fn model_request(
     };
     // Per-endpoint body shape: `/certify` carries the radius (and an
     // optional threshold) alongside the rows; transform/predict carry
-    // rows plus an optional group vector.
+    // rows plus an optional group vector. Rows decode straight into the
+    // flat buffer the batcher computes on.
     let (rows, group, op, certify) = match path_op {
         PathOp::Certify => {
-            let parsed: CertifyRequest = match serde_json::from_str(body) {
+            let parsed = match codec::decode_certify_request(body) {
                 Ok(parsed) => parsed,
                 Err(e) => {
                     return inline(Reply::error(
@@ -832,7 +834,7 @@ fn model_request(
             (parsed.rows, Vec::new(), op, Some(meta))
         }
         PathOp::Transform | PathOp::Predict => {
-            let parsed: RowsRequest = match serde_json::from_str(body) {
+            let parsed = match codec::decode_rows_request(body) {
                 Ok(parsed) => parsed,
                 Err(e) => {
                     return inline(Reply::error(
@@ -850,17 +852,18 @@ fn model_request(
             (parsed.rows, parsed.group.unwrap_or_default(), op, None)
         }
     };
-    if rows.is_empty() {
+    let n_rows = rows.shape.rows;
+    let width = rows.shape.width;
+    if n_rows == 0 {
         return inline(Reply::error(400, endpoint, "request has no rows"));
     }
-    let width = rows[0].len();
-    if width == 0 || rows.iter().any(|r| r.len() != width) {
+    let Some(rows) = rows.into_matrix() else {
         return inline(Reply::error(
             400,
             endpoint,
             "rows must be non-empty and rectangular",
         ));
-    }
+    };
     let Some(model) = ctx.registry.get(name) else {
         return inline(Reply::error(
             404,
@@ -897,14 +900,13 @@ fn model_request(
             ),
         ));
     }
-    if !group.is_empty() && group.len() != rows.len() {
+    if !group.is_empty() && group.len() != n_rows {
         return inline(Reply::error(
             400,
             endpoint,
             &format!(
-                "group has {} entries but the request has {} rows",
+                "group has {} entries but the request has {n_rows} rows",
                 group.len(),
-                rows.len()
             ),
         ));
     }
@@ -927,7 +929,6 @@ fn model_request(
         return inline(Reply::throttled(endpoint));
     }
 
-    let n_rows = rows.len();
     let cancelled = Arc::new(AtomicBool::new(false));
     let reply: Box<dyn FnOnce(Result<JobOutput, JobError>) + Send> = {
         let comp_tx = ctx.comp_tx.clone();
@@ -1017,58 +1018,42 @@ fn render_completion(
     certify: Option<CertifyMeta>,
     result: Result<JobOutput, JobError>,
 ) -> Reply {
-    match result {
-        Ok(JobOutput::Rows(rows)) => {
-            let body = serde_json::to_string(&TransformResponse {
-                model: model.to_string(),
-                rows,
-            })
-            .expect("transform response serializes");
-            Reply::json(200, body.into_bytes(), endpoint, n_rows)
-        }
+    let encoded = match result {
+        Ok(JobOutput::Rows(rows)) => codec::encode_transform(model, &rows),
         Ok(JobOutput::Scored { scores, decisions }) => {
-            let body = serde_json::to_string(&PredictResponse {
-                model: model.to_string(),
-                scores,
-                decisions,
-            })
-            .expect("predict response serializes");
-            Reply::json(200, body.into_bytes(), endpoint, n_rows)
+            codec::encode_predict(model, &scores, &decisions)
         }
         Ok(JobOutput::Certified(certs)) => {
             let meta = certify.unwrap_or(CertifyMeta {
                 eps: 0.0,
                 delta: None,
             });
-            let deltas: Vec<f64> = certs.iter().map(|c| c.delta).collect();
-            let methods: Vec<ifair::CertMethod> = certs.iter().map(|c| c.method).collect();
-            let certified = meta
-                .delta
-                .map(|thr| deltas.iter().map(|&d| d <= thr).collect::<Vec<bool>>());
-            if let Some(flags) = &certified {
-                if !flags.is_empty() {
-                    let frac = flags.iter().filter(|&&b| b).count() as f64 / flags.len() as f64;
-                    ctx.metrics
-                        .observe_certified_fraction(model, meta.eps, frac);
-                }
+            let encoded = codec::encode_certify(model, meta.eps, &certs, meta.delta);
+            // Every job has at least one row, so `certs` is never empty.
+            if let (Ok(_), Some(thr)) = (&encoded, meta.delta) {
+                let certified = certs.iter().filter(|c| c.delta <= thr).count();
+                ctx.metrics.observe_certified_fraction(
+                    model,
+                    meta.eps,
+                    certified as f64 / certs.len() as f64,
+                );
             }
-            let body = serde_json::to_string(&CertifyResponse {
-                model: model.to_string(),
-                eps: meta.eps,
-                deltas,
-                methods,
-                certified,
-            })
-            .expect("certify response serializes");
-            Reply::json(200, body.into_bytes(), endpoint, n_rows)
+            encoded
         }
         // Load shedding, part 2: the batcher found the deadline expired at
         // gather time and shed the job before compute.
         Err(JobError::DeadlineExceeded) => {
             ctx.metrics.observe_shed();
-            Reply::shed(endpoint)
+            return Reply::shed(endpoint);
         }
-        Err(JobError::Failed(msg)) => Reply::error(500, endpoint, &msg),
+        Err(JobError::BadInput(msg)) => return Reply::error(400, endpoint, &msg),
+        Err(JobError::Failed(msg)) => return Reply::error(500, endpoint, &msg),
+    };
+    match encoded {
+        Ok(body) => Reply::json(200, body, endpoint, n_rows),
+        // A 200 never carries a non-finite number: this request alone
+        // (co-batched peers have their own, finite rows) gets a 400.
+        Err(bad) => Reply::error(400, endpoint, &bad.to_string()),
     }
 }
 
@@ -1263,64 +1248,6 @@ fn release_slot(inflight: &mut HashMap<String, usize>, p: &mut PendingReq) {
 
 // ----------------------------------------------------------------- wire types
 
-/// Body of `POST /v1/models/{name}/transform` and `.../predict`.
-#[derive(Debug, Deserialize)]
-struct RowsRequest {
-    /// Feature rows, all of the model's input width.
-    rows: Vec<Vec<f64>>,
-    /// Optional per-row protected-group membership (0/1); only the LFR
-    /// stage reads it. Defaults to all zeros.
-    #[serde(default)]
-    group: Option<Vec<u8>>,
-}
-
-/// Body of a successful transform response.
-#[derive(Debug, Serialize)]
-struct TransformResponse {
-    model: String,
-    rows: Vec<Vec<f64>>,
-}
-
-/// Body of a successful predict response.
-#[derive(Debug, Serialize)]
-struct PredictResponse {
-    model: String,
-    /// `predict_proba` of the terminal predictor.
-    scores: Vec<f64>,
-    /// `predict` (hard decisions) of the terminal predictor.
-    decisions: Vec<f64>,
-}
-
-/// Body of `POST /v1/models/{name}/certify`.
-#[derive(Debug, Deserialize)]
-struct CertifyRequest {
-    /// Feature rows to certify, all of the model's input width.
-    rows: Vec<Vec<f64>>,
-    /// L∞ perturbation radius each row is certified against.
-    eps: f64,
-    /// Optional threshold: when present the response also reports, per
-    /// row, whether the certified delta met it, and the server updates
-    /// the `ifair_certified_fraction` gauge for this model and radius.
-    #[serde(default)]
-    delta: Option<f64>,
-}
-
-/// Body of a successful certify response.
-#[derive(Debug, Serialize)]
-struct CertifyResponse {
-    model: String,
-    /// The radius the request asked about, echoed back.
-    eps: f64,
-    /// Per-row certified output-space bounds: no input within `eps` (L∞)
-    /// of row *i* maps farther than `deltas[i]` (L2) from the row's image.
-    deltas: Vec<f64>,
-    /// How each row's bound was obtained.
-    methods: Vec<ifair::CertMethod>,
-    /// Per-row `deltas[i] <= delta` verdicts; `null` when the request
-    /// carried no threshold.
-    certified: Option<Vec<bool>>,
-}
-
 /// Body of every error response.
 #[derive(Debug, Serialize)]
 struct ErrorResponse {
@@ -1368,23 +1295,24 @@ mod tests {
 
     #[test]
     fn rows_request_accepts_optional_group() {
-        let r: RowsRequest = serde_json::from_str(r#"{"rows":[[1.0,2.0]]}"#).unwrap();
+        let r = codec::decode_rows_request(r#"{"rows":[[1.0,2.0]]}"#).unwrap();
         assert!(r.group.is_none());
-        let r: RowsRequest = serde_json::from_str(r#"{"rows":[[1.0,2.0]],"group":[1]}"#).unwrap();
+        assert_eq!(r.rows.data, vec![1.0, 2.0]);
+        let r = codec::decode_rows_request(r#"{"rows":[[1.0,2.0]],"group":[1]}"#).unwrap();
         assert_eq!(r.group, Some(vec![1]));
-        assert!(serde_json::from_str::<RowsRequest>(r#"{"group":[1]}"#).is_err());
+        assert!(codec::decode_rows_request(r#"{"group":[1]}"#).is_err());
     }
 
     #[test]
     fn certify_request_requires_eps_and_allows_delta() {
-        let r: CertifyRequest = serde_json::from_str(r#"{"rows":[[1.0,2.0]],"eps":0.05}"#).unwrap();
+        let r = codec::decode_certify_request(r#"{"rows":[[1.0,2.0]],"eps":0.05}"#).unwrap();
         assert_eq!(r.eps, 0.05);
         assert!(r.delta.is_none());
-        let r: CertifyRequest =
-            serde_json::from_str(r#"{"rows":[[1.0,2.0]],"eps":0.05,"delta":0.1}"#).unwrap();
+        let r = codec::decode_certify_request(r#"{"rows":[[1.0,2.0]],"eps":0.05,"delta":0.1}"#)
+            .unwrap();
         assert_eq!(r.delta, Some(0.1));
         // eps is mandatory: rows alone must not parse.
-        assert!(serde_json::from_str::<CertifyRequest>(r#"{"rows":[[1.0]]}"#).is_err());
+        assert!(codec::decode_certify_request(r#"{"rows":[[1.0]]}"#).is_err());
     }
 
     #[test]

@@ -284,3 +284,140 @@ fn retry_policy_recovers_from_transient_rejection() {
     handle.shutdown();
     std::fs::remove_file(&path).ok();
 }
+
+/// Writes every `(path, body)` request on one connection before reading
+/// any reply (pipelining, so the batcher sees them queued together), then
+/// reads the replies in order as `(status, body)`.
+fn pipelined(addr: std::net::SocketAddr, requests: &[(&str, String)]) -> Vec<(u16, String)> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut out = Vec::new();
+    for (path, body) in requests {
+        out.extend_from_slice(
+            format!(
+                "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
+    }
+    stream.write_all(&out).unwrap();
+    let mut buf = Vec::new();
+    let mut replies = Vec::new();
+    let mut chunk = [0u8; 16 * 1024];
+    while replies.len() < requests.len() {
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "connection closed after {} replies", replies.len());
+        buf.extend_from_slice(&chunk[..n]);
+        while let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8_lossy(&buf[..head_end]).to_string();
+            let len: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .and_then(|v| v.trim().parse().ok())
+                .expect("reply has a Content-Length");
+            let total = head_end + 4 + len;
+            if buf.len() < total {
+                break;
+            }
+            let status = head[9..12].parse().unwrap();
+            let body = String::from_utf8(buf[head_end + 4..total].to_vec()).unwrap();
+            replies.push((status, body));
+            buf.drain(..total);
+        }
+    }
+    replies
+}
+
+/// A body nested 10,000 levels deep used to overflow the reactor thread's
+/// stack and abort the process. The parser's nesting cap turns it into a
+/// 400, and the server keeps serving.
+#[test]
+fn deeply_nested_body_is_a_400_and_the_server_survives() {
+    let path = write_artifact("deep", 13);
+    let handle = boot(&path, ServerConfig::default());
+    let addr = handle.addr();
+
+    let depth = 10_000;
+    let deep = format!("{{\"rows\":{}{}}}", "[".repeat(depth), "]".repeat(depth));
+    for endpoint in ["transform", "predict", "certify"] {
+        let (status, body) =
+            client::post(addr, &format!("/v1/models/m/{endpoint}"), &deep).unwrap();
+        assert_eq!(status, 400, "{endpoint}: {body}");
+        assert!(body.contains("nesting deeper than"), "{endpoint}: {body}");
+    }
+    // Deep nesting under an ignored key is refused the same way.
+    let ignored = format!(
+        "{{\"rows\":[[0.3,0.7,1.0]],\"x\":{}{}}}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let (status, body) = client::post(addr, "/v1/models/m/transform", &ignored).unwrap();
+    assert_eq!(status, 400, "{body}");
+
+    let (status, body) = client::get(addr, "/healthz").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = client::post(addr, "/v1/models/m/transform", BODY).unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+/// Inputs whose magnitudes overflow the model used to get a 200 carrying
+/// `null`s from `/transform` and `/predict`, and a 500 from `/certify`.
+/// Each endpoint now answers the offending request alone with a 400 naming
+/// the row, while innocent requests pipelined (and so likely co-batched)
+/// with it still get their 200.
+#[test]
+fn overflowing_inputs_are_a_400_for_their_request_alone() {
+    let path = write_artifact("overflow", 17);
+    let handle = boot(&path, ServerConfig::default());
+    let addr = handle.addr();
+
+    let innocent = BODY.to_string();
+    let overflow = "{\"rows\":[[0.3,0.7,1.0],[1e308,1e308,1e308]]}".to_string();
+    let with_eps = |rows: &str| format!("{},\"eps\":0.01,\"delta\":0.5}}", &rows[..rows.len() - 1]);
+    for (endpoint, good, bad) in [
+        ("transform", innocent.clone(), overflow.clone()),
+        ("predict", innocent.clone(), overflow.clone()),
+        ("certify", with_eps(&innocent), with_eps(&overflow)),
+    ] {
+        let path = format!("/v1/models/m/{endpoint}");
+        let (status, alone) = client::post(addr, &path, &good).unwrap();
+        assert_eq!(status, 200, "{endpoint}: {alone}");
+
+        let requests: Vec<(&str, String)> = (0..6)
+            .map(|i| {
+                (
+                    path.as_str(),
+                    if i % 3 == 1 {
+                        bad.clone()
+                    } else {
+                        good.clone()
+                    },
+                )
+            })
+            .collect();
+        for (i, (status, body)) in pipelined(addr, &requests).into_iter().enumerate() {
+            assert!(!body.contains("null"), "{endpoint}: {body}");
+            if i % 3 == 1 {
+                assert_eq!(status, 400, "{endpoint}: {body}");
+                if endpoint != "certify" {
+                    assert!(body.contains("row 1"), "{endpoint}: {body}");
+                    assert!(body.contains("overflow"), "{endpoint}: {body}");
+                }
+            } else {
+                assert_eq!(status, 200, "{endpoint}: {body}");
+                assert_eq!(body, alone, "{endpoint}: co-batched reply differs");
+            }
+        }
+    }
+
+    let (status, body) = client::get(addr, "/healthz").unwrap();
+    assert_eq!(status, 200, "{body}");
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}

@@ -51,6 +51,7 @@ use ifair_data::{Dataset, MinMaxScaler, StandardScaler};
 use ifair_linalg::Matrix;
 use ifair_models::{LogisticRegression, LogisticRegressionConfig, RidgeConfig, RidgeRegression};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Kind tag of the versioned JSON envelope written by [`Pipeline::to_json`].
 const PIPELINE_KIND: &str = "pipeline";
@@ -519,33 +520,35 @@ fn stage_label(stage: &FittedStage) -> &'static str {
 /// is bit-identical to the serial path. Under [`Precision::F32`] the iFair
 /// stage is lowered per call (`K·N` casts — noise next to the transform
 /// itself) and runs its `f32` forward pass; all other stages stay `f64`.
+/// The first stage reads `ds` in place; only a chain with no transform
+/// stage copies it.
 fn transform_over(
     stages: &[FittedStage],
     ds: &Dataset,
     pool: Option<&WorkerPool>,
     precision: Precision,
 ) -> Result<Dataset, FitError> {
-    let mut current = ds.clone();
+    let mut current = Cow::Borrowed(ds);
     for stage in stages {
-        match stage {
+        let next = match stage {
             FittedStage::IFair(m) if precision == Precision::F32 => {
                 ifair_api::check_width(&current, m.n_features(), "iFair model")?;
                 let x = m.to_f32().transform_on(&current.x, pool);
-                current = current.with_features(x).map_err(FitError::from)?;
+                current.with_features(x).map_err(FitError::from)?
             }
             FittedStage::IFair(m) if pool.is_some() => {
                 ifair_api::check_width(&current, m.n_features(), "iFair model")?;
                 let x = m.transform_on(&current.x, pool);
-                current = current.with_features(x).map_err(FitError::from)?;
+                current.with_features(x).map_err(FitError::from)?
             }
-            _ => {
-                if let Some(t) = stage.as_transform() {
-                    current = t.transform_dataset(&current)?;
-                }
-            }
-        }
+            _ => match stage.as_transform() {
+                Some(t) => t.transform_dataset(&current)?,
+                None => continue,
+            },
+        };
+        current = Cow::Owned(next);
     }
-    Ok(current)
+    Ok(current.into_owned())
 }
 
 /// Assembles stage specs, then fits them left to right: each stage trains on
